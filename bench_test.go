@@ -220,16 +220,19 @@ func BenchmarkAlg3Scaling(b *testing.B) {
 // alone (DESIGN.md §5k): each iteration clones an FM-refined V-cycle result
 // and runs one full RefineCtx pass over it, so the timing isolates corridor
 // extraction, the pair min-cuts, and batch application — not the V-cycle
-// that produced the input. The cost metric records the refined cost.
+// that produced the input, which is built inside the sub-benchmark (so a
+// -bench filter naming one circuit builds only that one) before the timer
+// resets. The cost metric records the refined cost.
 func BenchmarkFlowRefine(b *testing.B) {
 	for _, name := range []string{"c1355", "c7552"} {
-		h := circuit(b, name)
-		spec := paperSpec(b, h)
-		base, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(name, func(b *testing.B) {
+			h := circuit(b, name)
+			spec := paperSpec(b, h)
+			base, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := base.Partition.Clone()
 				cost, _, _, err := repro.FlowRefine(p, repro.FlowRefineOptions{Seed: 1})
@@ -287,17 +290,20 @@ func BenchmarkRefinement(b *testing.B) {
 // across the synthetic scale rungs. The claim under test (DESIGN.md §5h):
 // near-linear growth in gate count, because coarsening is O(pins) per
 // level, the coarse-level solve is constant-size, and uncoarsening only
-// touches the boundary.
+// touches the boundary. Each rung generates its circuit inside its
+// sub-benchmark, before the timer resets, so a -bench filter naming one
+// rung never builds the larger ones.
 func BenchmarkMultilevelScaling(b *testing.B) {
 	for _, n := range []int{2048, 16384, 65536, 262144} {
-		cs := repro.ScaledCircuit(n)
-		h, ok := benchCircuits[cs.Name]
-		if !ok {
-			h = repro.GenerateCircuit(cs, 1)
-			benchCircuits[cs.Name] = h
-		}
-		spec := paperSpec(b, h)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			cs := repro.ScaledCircuit(n)
+			h, ok := benchCircuits[cs.Name]
+			if !ok {
+				h = repro.GenerateCircuit(cs, 1)
+				benchCircuits[cs.Name] = h
+			}
+			spec := paperSpec(b, h)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1}); err != nil {
 					b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/circuits"
+	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/obs"
@@ -189,4 +190,58 @@ func TestMultilevelTraceReconstruction(t *testing.T) {
 	}
 	t.Logf("wall %.0fms, root %.0fms, %d spans, %d coarsen + %d uncoarsen levels",
 		wallMS, root.totalMS, len(tr.nodes), coarsenLevels, uncoarsenLevels)
+}
+
+// TestMultilevelTraceHasNoUnnamedSpans checks that every span of a
+// multilevel run — including the coarse strategy's own run span nested
+// under construct, whose terminal stop the composed run re-kinds — carries
+// a name, for each coarse strategy shape and for the flat "+" pipelines.
+func TestMultilevelTraceHasNoUnnamedSpans(t *testing.T) {
+	cs, err := circuits.ByName("c2670")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := circuits.Generate(cs, 1)
+	spec, err := hierarchy.BinaryTreeSpec(h.TotalSize(), 4, hierarchy.GeometricWeights(4, 2), 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func(obs.Observer) error{}
+	for _, strategy := range []string{"flow", "flow+", "rfm+", "gfm"} {
+		runs["multilevel-"+strategy] = func(sink obs.Observer) error {
+			_, err := htp.MultilevelCtx(context.Background(), h, spec, htp.MultilevelOptions{
+				Strategy: strategy, CoarsenTarget: 200, FlowRefine: true, Seed: 3, Observer: sink,
+			})
+			return err
+		}
+	}
+	runs["flow+"] = func(sink obs.Observer) error {
+		_, _, err := htp.FlowPlusCtx(context.Background(), h, spec,
+			htp.FlowOptions{Iterations: 1, Seed: 3, Observer: sink}, fm.RefineOptions{})
+		return err
+	}
+	for name, run := range runs {
+		var b bytes.Buffer
+		sink := obs.NewJSONLSink(&b)
+		if err := run(sink); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		trees, err := readTrees(bytes.NewReader(b.Bytes()), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var table bytes.Buffer
+		for _, tr := range trees {
+			tr.writeTable(&table)
+		}
+		if strings.Contains(table.String(), "span-") {
+			t.Errorf("%s: unnamed span rows in\n%s", name, table.String())
+		}
+		if strings.Contains(name, "flow") && !strings.Contains(table.String(), "solve") {
+			t.Errorf("%s: no solve row for the nested solver in\n%s", name, table.String())
+		}
+	}
 }

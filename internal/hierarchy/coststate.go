@@ -1,6 +1,10 @@
 package hierarchy
 
-import "repro/internal/hypergraph"
+import (
+	"math"
+
+	"repro/internal/hypergraph"
+)
 
 // CostState maintains the hierarchical cost of a partition incrementally
 // under leaf-to-leaf node moves. It is the bookkeeping behind the paper's
@@ -8,16 +12,43 @@ import "repro/internal/hypergraph"
 // computed in O(Σ_{e∋v} levels) without re-evaluating any net from scratch,
 // and capacity feasibility is checked along the destination root path.
 //
+// Per (net, level) it counts the net's pins in each level block, in flat
+// arrays rather than a map per pair. A net touches at most min(|e|, n_l)
+// distinct level-l blocks, where n_l is the number of tree vertices at
+// level l, and net e at level l owns exactly that many slots, starting at
+// pairs[i].off (i = e·top + l) — so the table holds at most pins × levels
+// slots however wide the tree is. A range of n_l slots is dense: block b's
+// count sits at slot off + rank[b], found in O(1), which is what the giant
+// nets spanning every block need. A shorter range is a list whose first
+// pairs[i].n entries are the live (block, count) pairs, unordered, scanned
+// on lookup; the net has fewer pins than the level has blocks, so the list
+// is short.
+//
 // The tree must not change while a CostState is live.
 type CostState struct {
 	P   *Partition
 	top int // root level
 
-	anc    [][]int32 // anc[leaf] = ancestor vertex at each level 0..top
-	counts []map[int32]int32
-	blocks []int32 // blocks[e*top+l] = number of distinct level-l blocks of net e
-	sizes  []int64 // per-vertex assigned size
-	cost   float64
+	anc   [][]int32    // anc[leaf] = ancestor vertex at each level 0..top
+	rank  []int32      // rank[q] = index of q among its level's vertices
+	width []int32      // width[l] = number of tree vertices at level l
+	pairs []pairSlots  // pairs[e*top+l] = net e's level-l slots; one sentinel
+	slots []blockCount // per-pair (block, pin count) ranges
+	sizes []int64      // per-vertex assigned size
+	cost  float64
+}
+
+// pairSlots is one (net, level) pair's slot range, which starts at slot off
+// and ends where the next pair's begins; n is the number of distinct blocks
+// the net touches at that level. Offset and count share one word so a
+// lookup touches a single cache line before the slots themselves.
+type pairSlots struct {
+	off, n int32
+}
+
+// blockCount is one live slot: a block and the number of the net's pins in it.
+type blockCount struct {
+	block, count int32
 }
 
 // NewCostState builds the incremental state; every node must be assigned.
@@ -26,13 +57,15 @@ func NewCostState(p *Partition) *CostState {
 	if top > p.Spec.Height() {
 		top = p.Spec.Height()
 	}
+	nets := p.H.NumNets()
 	cs := &CostState{
-		P:      p,
-		top:    top,
-		anc:    make([][]int32, p.Tree.NumVertices()),
-		counts: make([]map[int32]int32, p.H.NumNets()*top),
-		blocks: make([]int32, p.H.NumNets()*top),
-		sizes:  make([]int64, p.Tree.NumVertices()),
+		P:     p,
+		top:   top,
+		anc:   make([][]int32, p.Tree.NumVertices()),
+		rank:  make([]int32, p.Tree.NumVertices()),
+		width: make([]int32, top+1),
+		pairs: make([]pairSlots, nets*top+1),
+		sizes: make([]int64, p.Tree.NumVertices()),
 	}
 	for _, leaf := range p.Tree.Leaves() {
 		row := make([]int32, top+1)
@@ -55,16 +88,52 @@ func NewCostState(p *Partition) *CostState {
 			cs.sizes[q] += s
 		}
 	}
-	for e := 0; e < p.H.NumNets(); e++ {
+	for q := 0; q < p.Tree.NumVertices(); q++ {
+		if l := p.Tree.Level(q); l <= top {
+			cs.rank[q] = cs.width[l]
+			cs.width[l]++
+		}
+	}
+	total := 0
+	for e := 0; e < nets; e++ {
+		card := len(p.H.Pins(hypergraph.NetID(e)))
 		for l := 0; l < top; l++ {
-			idx := e*top + l
-			cs.counts[idx] = make(map[int32]int32, 4)
+			cs.pairs[e*top+l].off = int32(total)
+			total += min(card, int(cs.width[l]))
+		}
+	}
+	if total > math.MaxInt32 {
+		panic("hierarchy: CostState slot table exceeds 2^31 entries")
+	}
+	cs.pairs[nets*top].off = int32(total)
+	cs.slots = make([]blockCount, total)
+
+	// slotOf[b] is block b's slot in the pair being counted, valid while
+	// stamp[b] names that pair: an O(1) lookup, so counting stays linear
+	// in pins even for nets spread over many blocks.
+	slotOf := make([]int32, p.Tree.NumVertices())
+	stamp := make([]int, p.Tree.NumVertices())
+	for q := range stamp {
+		stamp[q] = -1
+	}
+	for e := 0; e < nets; e++ {
+		for l := 0; l < top; l++ {
+			i := e*top + l
+			pr := &cs.pairs[i]
+			dense := cs.dense(i, l)
 			for _, v := range p.H.Pins(hypergraph.NetID(e)) {
 				b := cs.anc[p.LeafOf[v]][l]
-				cs.counts[idx][b]++
+				if stamp[b] != i {
+					stamp[b], slotOf[b] = i, pr.off+pr.n
+					if dense {
+						slotOf[b] = pr.off + cs.rank[b]
+					}
+					cs.slots[slotOf[b]].block = b
+					pr.n++
+				}
+				cs.slots[slotOf[b]].count++
 			}
-			cs.blocks[idx] = int32(len(cs.counts[idx]))
-			cs.cost += p.Spec.Weight[l] * spanValue(int(cs.blocks[idx])) * p.H.NetCapacity(hypergraph.NetID(e))
+			cs.cost += p.Spec.Weight[l] * spanValue(int(pr.n)) * p.H.NetCapacity(hypergraph.NetID(e))
 		}
 	}
 	return cs
@@ -98,6 +167,39 @@ func (cs *CostState) divergeLevel(a, b int32) int {
 	return cs.top
 }
 
+// dense reports whether pair i (at level l) has a slot for every level-l
+// block, indexed by rank.
+func (cs *CostState) dense(i, l int) bool {
+	return cs.pairs[i+1].off-cs.pairs[i].off == cs.width[l]
+}
+
+// locate returns the slots counting blocks a and b in pair i at level l. In
+// a list range a block the net does not touch has no slot: -1.
+func (cs *CostState) locate(i, l int, a, b int32) (sa, sb int32) {
+	pr := cs.pairs[i]
+	if cs.dense(i, l) {
+		return pr.off + cs.rank[a], pr.off + cs.rank[b]
+	}
+	sa, sb = -1, -1
+	for k := pr.off; k < pr.off+pr.n; k++ {
+		switch cs.slots[k].block {
+		case a:
+			sa = k
+		case b:
+			sb = k
+		}
+	}
+	return sa, sb
+}
+
+// count returns the pin count held in slot k, 0 for no slot.
+func (cs *CostState) count(k int32) int32 {
+	if k < 0 {
+		return 0
+	}
+	return cs.slots[k].count
+}
+
 // MoveDelta returns the cost change of moving node v to leaf toLeaf
 // (negative is an improvement). Moving to the current leaf returns 0.
 func (cs *CostState) MoveDelta(v hypergraph.NodeID, toLeaf int) float64 {
@@ -116,12 +218,13 @@ func (cs *CostState) MoveDelta(v hypergraph.NodeID, toLeaf int) float64 {
 			if a == b {
 				continue
 			}
-			old := int(cs.blocks[idx])
+			sa, sb := cs.locate(idx, l, a, b)
+			old := int(cs.pairs[idx].n)
 			now := old
-			if cs.counts[idx][a] == 1 {
+			if cs.count(sa) == 1 {
 				now--
 			}
-			if cs.counts[idx][b] == 0 {
+			if cs.count(sb) == 0 {
 				now++
 			}
 			delta += cs.P.Spec.Weight[l] * c * (spanValue(now) - spanValue(old))
@@ -167,19 +270,33 @@ func (cs *CostState) Apply(v hypergraph.NodeID, toLeaf int) float64 {
 			if a == b {
 				continue
 			}
-			old := int(cs.blocks[idx])
-			now := old
-			if cs.counts[idx][a] == 1 {
-				delete(cs.counts[idx], a)
-				now--
-			} else {
-				cs.counts[idx][a]--
+			sa, sb := cs.locate(idx, l, a, b)
+			pr := &cs.pairs[idx]
+			old := int(pr.n)
+			// v's pin leaves a (a list range drops a block it no longer
+			// touches by swapping the last live entry into its slot) ...
+			cs.slots[sa].count--
+			if cs.slots[sa].count == 0 {
+				pr.n--
+				if !cs.dense(idx, l) {
+					last := pr.off + pr.n
+					cs.slots[sa] = cs.slots[last]
+					if sb == last {
+						sb = sa
+					}
+				}
 			}
-			if cs.counts[idx][b] == 0 {
-				now++
+			// ... and joins b (a list range appends a block it starts to
+			// touch; the slot freed above keeps it within the range).
+			if sb < 0 {
+				sb = pr.off + pr.n
+				cs.slots[sb] = blockCount{block: b}
 			}
-			cs.counts[idx][b]++
-			cs.blocks[idx] = int32(now)
+			if cs.slots[sb].count == 0 {
+				pr.n++
+			}
+			cs.slots[sb].count++
+			now := int(pr.n)
 			delta += cs.P.Spec.Weight[l] * c * (spanValue(now) - spanValue(old))
 		}
 	}

@@ -230,3 +230,41 @@ func TestFlowConvergedStatsAggregation(t *testing.T) {
 		t.Fatalf("partition from truncated metrics invalid: %v", err)
 	}
 }
+
+// countdownCtx reports no error for its first n Err calls and
+// DeadlineExceeded from then on, so a test can land the deadline
+// deterministically between any two of the solver's cancellation checks.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestFlowCtxDeadlineAtEveryCheckpoint moves the deadline across FlowCtx's
+// cancellation checks one at a time. Wherever it lands — including between
+// FlowCtx's own entry check and the metric engine's — the run returns
+// either a valid best-so-far partition or an error wrapping ErrNoPartition.
+func TestFlowCtxDeadlineAtEveryCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	h := fourClusters(t, rng, 4, 4, 0.8)
+	spec := binarySpec(t, h, 2)
+	for n := 0; n < 40; n++ {
+		res, err := FlowCtx(&countdownCtx{Context: context.Background(), n: n}, h, spec, FlowOptions{Iterations: 2})
+		if err != nil {
+			if !errors.Is(err, anytime.ErrNoPartition) {
+				t.Fatalf("deadline after %d checks: error does not wrap ErrNoPartition: %v", n, err)
+			}
+			continue
+		}
+		if err := res.Partition.Validate(); err != nil {
+			t.Fatalf("deadline after %d checks: invalid partition: %v", n, err)
+		}
+	}
+}

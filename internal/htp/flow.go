@@ -238,6 +238,12 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 				}
 				return
 			}
+			if ctx.Err() != nil && errors.Is(err, context.Cause(ctx)) {
+				// Interrupted before the metric started: nothing to
+				// salvage, and not fatal — the run reports ErrNoPartition
+				// unless another iteration got further.
+				return
+			}
 			out.injectErr = err
 			return
 		}
@@ -426,15 +432,16 @@ func FlowPlus(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions, re
 // — so an interrupted refinement simply returns the best cost reached.
 func FlowPlusCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions, ref fm.RefineOptions) (*Result, float64, error) {
 	// The composed run owns the terminal stop: the constructive stage's own
-	// stop is suppressed and one stop is emitted after refinement, keeping
-	// the exactly-one-stop-last trace contract for "+" runs too.
+	// stop becomes its "solve" span completion and one stop is emitted after
+	// refinement, keeping the exactly-one-stop-last trace contract for "+"
+	// runs too.
 	sink := obs.Multi(opt.Observer, obs.ProgressObserver(opt.Progress))
 	var scope obs.SpanScope
 	scope, sink = opt.Span.Enter(sink)
 	var start time.Time
 	if sink != nil {
 		start = time.Now()
-		opt.Observer = obs.SuppressStop(sink)
+		opt.Observer = obs.StopAsSpan(sink, "solve")
 		opt.Progress = nil
 		opt.Span = scope // constructive stage nests under the "+" run span
 	}

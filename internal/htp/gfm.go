@@ -338,7 +338,7 @@ func GFMPlusCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Sp
 	var start time.Time
 	if sink != nil {
 		start = time.Now()
-		opt.Observer = obs.SuppressStop(sink)
+		opt.Observer = obs.StopAsSpan(sink, "solve")
 		opt.Span = scope
 	}
 	res, err := GFMCtx(ctx, h, spec, opt)

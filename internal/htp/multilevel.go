@@ -20,8 +20,8 @@ import (
 // multilevel pipeline: FLOW, RFM, GFM and their "+" variants all fit this
 // signature, as does any custom constructor. The stage must honour ctx and
 // follow the anytime Result contract; its Observer events flow into the
-// multilevel run's trace (terminal stops suppressed — the composed run
-// emits its own).
+// multilevel run's trace (its terminal stop becomes a "solve" span — the
+// composed run emits its own).
 type CoarseStage func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error)
 
 // MultilevelOptions tunes the V-cycle: coarsening, the coarse-level
@@ -247,8 +247,8 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 	}
 
 	// Coarse-level construction. The strategy traces into the run's sink
-	// with its terminal stop suppressed; the composed run emits exactly one
-	// stop, after uncoarsening.
+	// with its terminal stop turned into a "solve" span; the composed run
+	// emits exactly one stop, after uncoarsening.
 	if opt.Strategy == "flow" || opt.Strategy == "flow+" {
 		if opt.Flow.Seed == 0 {
 			opt.Flow.Seed = opt.Seed
@@ -304,9 +304,10 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 	// spec is feasible at all — so on a non-cancellation construction
 	// failure the engine drops the coarsest level and re-runs the stage one
 	// level finer. Uncoarsening then starts from whatever level solved.
-	// stageObs tags anything the strategy leaves unstamped (custom Stage
-	// implementations without span support) with the construct span.
-	stageObs := obs.WithSpan(obs.SuppressStop(sink), constructSpan, scope.Parent)
+	// stageObs turns the strategy's own stop into its "solve" span
+	// completion, and tags anything the strategy leaves unstamped (custom
+	// Stage implementations without span support) with the construct span.
+	stageObs := obs.StopAsSpan(obs.WithSpan(sink, constructSpan, scope.Parent), "solve")
 	res, err := stage(ctx, stack.Coarsest(), spec, stageObs)
 	for err != nil && errors.Is(err, anytime.ErrNoPartition) && ctx.Err() == nil && len(stack.Levels) > 0 {
 		stack.Levels = stack.Levels[:len(stack.Levels)-1]

@@ -99,7 +99,7 @@ func RFMPlusCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Sp
 	var start time.Time
 	if sink != nil {
 		start = time.Now()
-		opt.Observer = obs.SuppressStop(sink)
+		opt.Observer = obs.StopAsSpan(sink, "solve")
 		opt.Span = scope
 	}
 	res, err := RFMCtx(ctx, h, spec, opt)

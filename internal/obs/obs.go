@@ -176,10 +176,10 @@ func (t iterTagger) Event(e Event) {
 }
 
 // SuppressStop filters terminal stop events out of the stream, forwarding
-// everything else to next. The "+" pipelines (FLOW+, RFM+, GFM+) wrap their
-// constructive stage with it and emit their own stop after refinement, so a
-// composed run still traces exactly one terminal stop, last. Returns nil
-// for a nil next so the disabled fast path survives wrapping.
+// everything else to next. htpd wraps every ladder rung with it and emits
+// one job-level stop itself, so a job's stream traces exactly one terminal
+// stop, last. Returns nil for a nil next so the disabled fast path survives
+// wrapping.
 func SuppressStop(next Observer) Observer {
 	if next == nil {
 		return nil
@@ -187,11 +187,38 @@ func SuppressStop(next Observer) Observer {
 	return stopFilter{next: next}
 }
 
-type stopFilter struct{ next Observer }
+// StopAsSpan is SuppressStop for a stage nested inside a composed run: the
+// stage's terminal stop is forwarded as a span completion named phase —
+// same span, parent, cost and elapsed time, with the stop reason (and any
+// error detail) as its detail. The "+" pipelines (FLOW+, RFM+, GFM+) and
+// the multilevel construct stage wrap their inner solver with it, so the
+// inner run's span keeps a name while the composed run still traces
+// exactly one terminal stop, last. A stop without a span of its own (from
+// a stage that does not thread span identity) has nothing to name and is
+// dropped. Returns nil for a nil next.
+func StopAsSpan(next Observer, phase string) Observer {
+	if next == nil {
+		return nil
+	}
+	return stopFilter{next: next, phase: phase}
+}
+
+// stopFilter drops terminal stops, or re-kinds span-stamped ones as a
+// phase span when phase is set.
+type stopFilter struct {
+	next  Observer
+	phase string
+}
 
 func (f stopFilter) Event(e Event) {
 	if e.Kind == KindStop {
-		return
+		if f.phase == "" || e.Span == 0 {
+			return
+		}
+		if e.Detail != "" {
+			e.Reason += ": " + e.Detail
+		}
+		e.Kind, e.Phase, e.Detail, e.Reason = KindSpan, f.phase, e.Reason, ""
 	}
 	f.next.Event(e)
 }

@@ -73,6 +73,25 @@ func TestWithIter(t *testing.T) {
 	}
 }
 
+func TestStopAsSpan(t *testing.T) {
+	if StopAsSpan(nil, "solve") != nil {
+		t.Error("StopAsSpan(nil) should stay nil for the fast path")
+	}
+	var r recorder
+	o := StopAsSpan(&r, "solve")
+	o.Event(Event{Kind: KindBest, Span: 4, Parent: 3, Cost: 7})
+	o.Event(Event{Kind: KindStop, Span: 4, Parent: 3, Cost: 7, ElapsedMS: 12, Reason: "error", Detail: "boom"})
+	o.Event(Event{Kind: KindStop, Reason: "converged"}) // no span of its own
+	if len(r.events) != 2 {
+		t.Fatalf("got %d events, want the best event and one re-kinded stop", len(r.events))
+	}
+	got := r.events[1]
+	want := Event{Kind: KindSpan, Phase: "solve", Span: 4, Parent: 3, Cost: 7, ElapsedMS: 12, Detail: "error: boom"}
+	if got != want {
+		t.Errorf("re-kinded stop = %+v, want %+v", got, want)
+	}
+}
+
 func TestMulti(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Error("Multi of nothing should be nil")

@@ -170,13 +170,21 @@ func (h *IndexedMinHeap) siftUp(i int) {
 	h.pos[moving.item] = int32(i)
 }
 
-// siftDown restores heap order by sinking entries[i]: the smaller child
-// (left-preferred on ties, matching the classic swap formulation) shifts up
-// into the hole until neither child is smaller than the moving entry.
+// siftDown restores heap order by sinking entries[i], bottom-up (Floyd):
+// the smaller child (left-preferred on ties) shifts up into the hole all
+// the way to the bottom without being compared to the moving entry, then
+// the moving entry climbs back while its parent slot holds a key >= its
+// own. Keys are non-decreasing down the smaller-child path, so the climb
+// stops exactly where the classic sink would have — below the last path
+// entry with a smaller key, above the first with a key >= it — and heap
+// layout and pop order are identical to the classic formulation; a sink
+// that ends near the bottom (the usual case after Pop moves the last
+// entry to the root) saves one comparison per level.
 func (h *IndexedMinHeap) siftDown(i int) {
 	es := h.entries
 	n := len(es)
 	moving := es[i]
+	start := i
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -185,12 +193,19 @@ func (h *IndexedMinHeap) siftDown(i int) {
 		if r := c + 1; r < n && es[r].key < es[c].key {
 			c = r
 		}
-		if es[c].key >= moving.key {
-			break
-		}
 		es[i] = es[c]
 		h.pos[es[i].item] = int32(i)
 		i = c
+	}
+	for i > start {
+		parent := (i - 1) / 2
+		// The negated >= tests the very predicate the classic sink stops on.
+		if !(es[parent].key >= moving.key) {
+			break
+		}
+		es[i] = es[parent]
+		h.pos[es[i].item] = int32(i)
+		i = parent
 	}
 	es[i] = moving
 	h.pos[moving.item] = int32(i)

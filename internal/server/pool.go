@@ -145,6 +145,17 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		dump.Stop = string(out.res.Stop)
 	}
 
+	// The dump reaches disk before the terminal state turns visible or is
+	// journaled, so a client that reads done — or a restart replaying the
+	// journal's terminal record — always finds the result file. A second
+	// (refused) transition must not overwrite the first one's file.
+	j.mu.Lock()
+	first := !j.state.Terminal()
+	j.mu.Unlock()
+	if first {
+		s.persistResult(j, dump)
+	}
+
 	j.mu.Lock()
 	if j.state.Terminal() {
 		// Double terminal transition: a state-machine bug. Refuse, count,
@@ -201,7 +212,6 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		errMsg = out.err.Error()
 	}
 	s.journalState(j, state, out.stage, stopReason, cost, errMsg)
-	s.persistResult(j, dump)
 
 	// The job-level terminal stop: exactly one per job stream, after the
 	// rung-level stops were suppressed. Reason follows the anytime

@@ -29,6 +29,10 @@ type HyperSPT struct {
 	pinStart []int32
 	pinList  []int32
 
+	// compSize[v] is the node count of v's connected component: once a
+	// growth has touched that many nodes, no pin scan can push a node.
+	compSize []int32
+
 	netGen []uint32
 	gen    uint32
 	heap   *pqueue.IndexedMinHeap
@@ -88,7 +92,48 @@ func NewHyperSPT(h *hypergraph.Hypergraph) *HyperSPT {
 			s.pinList = append(s.pinList, int32(u))
 		}
 	}
+	s.compSize = s.componentSizes()
 	return s
+}
+
+// componentSizes returns, per node, the size of its connected component,
+// found by breadth-first search over the CSR arrays. It borrows the
+// grower's workspaces: netGen marks scanned nets (cleared again before the
+// first growth), and the queue, which ends up holding every node once,
+// becomes the touch list's backing array.
+func (s *HyperSPT) componentSizes() []int32 {
+	n := len(s.nodes)
+	size := make([]int32, n) // non-zero once the node is queued
+	queue := make([]int32, 0, n)
+	for r := 0; r < n; r++ {
+		if size[r] != 0 {
+			continue
+		}
+		start := len(queue)
+		queue = append(queue, int32(r))
+		size[r] = -1
+		for head := start; head < len(queue); head++ {
+			v := queue[head]
+			for _, e := range s.incList[s.incStart[v]:s.incStart[v+1]] {
+				if s.netGen[e] != 0 {
+					continue
+				}
+				s.netGen[e] = 1
+				for _, u := range s.pinList[s.pinStart[e]:s.pinStart[e+1]] {
+					if size[u] == 0 {
+						size[u] = -1
+						queue = append(queue, u)
+					}
+				}
+			}
+		}
+		for _, v := range queue[start:] {
+			size[v] = int32(len(queue) - start)
+		}
+	}
+	clear(s.netGen)
+	s.touch = queue[:0]
+	return size
 }
 
 // Grow runs Dijkstra from root with net lengths given by length, invoking
@@ -128,6 +173,10 @@ func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(h
 	nodes[root] = sptNode{dist: 0, via: -1, parent: -1, state: 1}
 	s.touch = append(s.touch, int32(root))
 	heap.Push(int(root), 0)
+	// comp is the touch count at which every node of root's component has
+	// been reached; ub is the largest key pushed so far (see the skip below).
+	comp := int(s.compSize[root])
+	ub := 0.0
 
 	settled := 0
 	//htpvet:allow ctxpoll -- each iteration settles a node or discards a stale heap entry, so the loop is bounded by reached nodes; cancellation is the callers' visit callback returning false (inject polls ctx there with a masked counter)
@@ -148,6 +197,12 @@ func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(h
 		if !keep {
 			break
 		}
+		// Once the whole component is touched no pin can be pushed, and
+		// since keys only fall every queued key is <= ub: a net scan
+		// offering nd >= ub cannot lower one, so it is skipped. full is
+		// sampled once per settled node; a component that fills up midway
+		// merely skips from the next node on.
+		full := len(s.touch) == comp
 		for _, e := range incList[incStart[vi]:incStart[vi+1]] {
 			// The first settled pin of a net offers the minimal distance
 			// through it (later-settled pins only have larger distances),
@@ -163,15 +218,21 @@ func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(h
 				le = length(hypergraph.NetID(e))
 			}
 			nd := dv + le
+			if full && nd >= ub {
+				continue
+			}
 			for _, u := range pinList[pinStart[e]:pinStart[e+1]] {
 				nu := &nodes[u]
-				if nu.state == 2 || int(u) == vi {
+				if nu.state == 2 {
 					continue
 				}
 				if nu.state == 0 {
 					*nu = sptNode{dist: nd, via: e, parent: int32(vi), state: 1}
 					s.touch = append(s.touch, u)
 					heap.Push(int(u), nd)
+					if nd > ub {
+						ub = nd
+					}
 				} else if nd < nu.dist {
 					nu.dist = nd
 					nu.via = e
