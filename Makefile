@@ -27,16 +27,16 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Race-detector pass over every package. The concurrency hot spots (parallel
-# FLOW iterations, the batched metric engine, the SPT growers, the telemetry
+# Race-detector pass over every package. The concurrency hot spots (FLOW's
+# iteration pool, the batched metric engine, the SPT growers, the telemetry
 # funnel, the flow-refinement pair pool) get the real exercise; the rest is
-# cheap insurance. The pair pool and the min-cut kernel it drives are
-# schedule-sensitive (worker counts change claim interleavings, not results),
-# so they get a second, repeated pass to shake out orderings the first run
-# happened not to hit.
+# cheap insurance. The two pools and the min-cut kernel the pair pool drives
+# are schedule-sensitive (worker counts change claim interleavings, not
+# results), so they get a second, repeated pass to shake out orderings the
+# first run happened not to hit.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/maxflow/ ./internal/flowrefine/
+	$(GO) test -race -count=2 ./internal/maxflow/ ./internal/flowrefine/ ./internal/htp/
 
 # Full pre-merge gate: build, vet, htpvet, staticcheck, unit tests, race pass.
 check: build vet lint staticcheck test race

@@ -59,7 +59,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		iters      = flag.Int("n", 4, "FLOW iterations (Algorithm 1's N)")
 		perMetric  = flag.Int("per-metric", 1, "partitions constructed per spreading metric")
-		workers    = flag.Int("workers", 1, "concurrent tree growths in Algorithm 2; 1 = exact sequential, 0 = NumCPU")
+		workers    = flag.Int("workers", 1, "concurrent tree growths in each Algorithm 2 metric; 1 = exact sequential, 0 = NumCPU (FLOW's N iterations run concurrently regardless, GOMAXPROCS/workers at a time)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget; 0 = unlimited (best-so-far on expiry)")
 		printTree  = flag.Bool("print-tree", false, "print the partition tree")
 		levels     = flag.Bool("levels", false, "print per-level cost breakdown")

@@ -189,7 +189,10 @@ func GeometricWeights(height int, base float64) []float64 {
 // diagnostics.
 type Result = htp.Result
 
-// FlowOptions tunes the paper's Algorithm 1.
+// FlowOptions tunes the paper's Algorithm 1. It has no schedule option:
+// the N iterations always run concurrently, on a pool sized from
+// GOMAXPROCS and Inject.Workers, with results identical at every
+// GOMAXPROCS.
 type FlowOptions = htp.FlowOptions
 
 // BuildOptions tunes the top-down construction (Algorithm 3) inside Flow.
@@ -206,7 +209,8 @@ type RefineOptions = fm.RefineOptions
 
 // Flow runs the network-flow constructive algorithm (Algorithm 1): N
 // iterations of spreading-metric computation plus metric-guided top-down
-// construction, returning the best partition.
+// construction, run concurrently on a bounded pool, returning the best
+// partition.
 func Flow(h *Hypergraph, spec Spec, opt FlowOptions) (*Result, error) {
 	return htp.Flow(h, spec, opt)
 }

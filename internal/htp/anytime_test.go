@@ -3,13 +3,16 @@ package htp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/anytime"
 	"repro/internal/inject"
+	"repro/internal/obs"
 )
 
 // ---- cancellation (tentpole: anytime contract) ----
@@ -38,15 +41,18 @@ func TestFlowCtxCancelMidRunReturnsBestSoFar(t *testing.T) {
 	spec := binarySpec(t, h, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Deterministic mid-run cancellation: iteration 0 runs to completion,
-	// the fault seam cancels the context as iteration 1 begins.
+	// Mid-run cancellation triggered by the first iteration to complete:
+	// its iter-done event cancels the context. The last iteration's fault
+	// seam waits for that cancel, so it always lands before the run ends,
+	// whatever the pool size and however the iterations overlap.
+	const n = 8
 	flowIterFault = func(iter int) {
-		if iter == 1 {
-			cancel()
+		if iter == n-1 {
+			<-ctx.Done()
 		}
 	}
 	defer func() { flowIterFault = nil }()
-	res, err := FlowCtx(ctx, h, spec, FlowOptions{Iterations: 8})
+	res, err := FlowCtx(ctx, h, spec, FlowOptions{Iterations: n, Observer: cancelOnIterDone(cancel)})
 	if err != nil {
 		t.Fatalf("best-so-far expected, got error: %v", err)
 	}
@@ -74,6 +80,9 @@ func TestFlowCtxDeadlineReturnsValidPartition(t *testing.T) {
 	}
 	if err := res.Partition.Validate(); err != nil {
 		t.Fatalf("best-so-far partition invalid: %v", err)
+	}
+	if res.Iterations >= 64 {
+		t.Fatalf("Iterations = %d: a deadline-stopped run must report only the iterations whose metric ran", res.Iterations)
 	}
 	if res.Cost <= 0 {
 		t.Fatalf("suspicious zero cost %g for a bridged instance", res.Cost)
@@ -108,28 +117,28 @@ func TestFlowCtxUncancelledMatchesFlow(t *testing.T) {
 	}
 }
 
+// TestFlowCtxParallelMatchesSequentialUnderLiveContext: under a live
+// (never firing) context, a pool of one and wider pools agree bit for bit.
 func TestFlowCtxParallelMatchesSequentialUnderLiveContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	h := fourClusters(t, rng, 4, 6, 0.7)
 	spec := binarySpec(t, h, 2)
 	opt := FlowOptions{Iterations: 4, Seed: 9}
-	ctx := context.Background()
-	seq, err := FlowCtx(ctx, h, spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Parallel = true
-	par, err := FlowCtx(ctx, h, spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Cost != par.Cost {
-		t.Fatalf("parallel diverged: %g vs %g", seq.Cost, par.Cost)
-	}
-	for v := range seq.Partition.LeafOf {
-		if seq.Partition.LeafOf[v] != par.Partition.LeafOf[v] {
-			t.Fatalf("leaf assignment diverges at node %d", v)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	var seq *Result
+	for _, p := range scheduleProcs {
+		var res *Result
+		var err error
+		atProcs(p, func() { res, err = FlowCtx(ctx, h, spec, opt) })
+		if err != nil {
+			t.Fatal(err)
 		}
+		if seq == nil {
+			seq = res
+			continue
+		}
+		requireSameResult(t, fmt.Sprintf("GOMAXPROCS %d", p), seq, res)
 	}
 }
 
@@ -159,7 +168,7 @@ func TestFlowParallelPanicContained(t *testing.T) {
 		}
 	}
 	defer func() { flowIterFault = nil }()
-	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 4, Parallel: true})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 4})
 	if err != nil {
 		t.Fatalf("sibling iterations should still win, got error: %v", err)
 	}
@@ -184,7 +193,7 @@ func TestFlowAllIterationsPanicYieldsError(t *testing.T) {
 	spec := binarySpec(t, h, 2)
 	flowIterFault = func(int) { panic("every iteration dies") }
 	defer func() { flowIterFault = nil }()
-	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Parallel: true})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3})
 	if res != nil {
 		t.Fatalf("no iteration survived, yet got a result with cost %g", res.Cost)
 	}
@@ -232,19 +241,30 @@ func TestFlowConvergedStatsAggregation(t *testing.T) {
 }
 
 // countdownCtx reports no error for its first n Err calls and
-// DeadlineExceeded from then on, so a test can land the deadline
-// deterministically between any two of the solver's cancellation checks.
+// DeadlineExceeded from then on, so a test can land the deadline between
+// any two of the solver's cancellation checks. The counter is atomic:
+// concurrent iterations check it from several goroutines, and once expired
+// it stays expired.
 type countdownCtx struct {
 	context.Context
-	n int
+	n atomic.Int64
 }
 
 func (c *countdownCtx) Err() error {
-	if c.n > 0 {
-		c.n--
+	if c.n.Add(-1) >= 0 {
 		return nil
 	}
 	return context.DeadlineExceeded
+}
+
+// cancelOnIterDone is an observer that calls cancel on every iter-done
+// event (repeat calls are no-ops).
+type cancelOnIterDone context.CancelFunc
+
+func (c cancelOnIterDone) Event(e obs.Event) {
+	if e.Kind == obs.KindIterDone {
+		c()
+	}
 }
 
 // TestFlowCtxDeadlineAtEveryCheckpoint moves the deadline across FlowCtx's
@@ -256,7 +276,9 @@ func TestFlowCtxDeadlineAtEveryCheckpoint(t *testing.T) {
 	h := fourClusters(t, rng, 4, 4, 0.8)
 	spec := binarySpec(t, h, 2)
 	for n := 0; n < 40; n++ {
-		res, err := FlowCtx(&countdownCtx{Context: context.Background(), n: n}, h, spec, FlowOptions{Iterations: 2})
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.n.Store(int64(n))
+		res, err := FlowCtx(ctx, h, spec, FlowOptions{Iterations: 2})
 		if err != nil {
 			if !errors.Is(err, anytime.ErrNoPartition) {
 				t.Fatalf("deadline after %d checks: error does not wrap ErrNoPartition: %v", n, err)

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/anytime"
@@ -22,6 +24,8 @@ type Result struct {
 	Partition *hierarchy.Partition
 	Cost      float64
 	// Iterations actually executed (Algorithm 1's N, or FM passes etc.).
+	// For FLOW it counts the iterations whose metric ran, fully or until a
+	// deadline interrupted it, so a stopped run reports fewer than N.
 	Iterations int
 	// Stop records why the run ended: StopConverged for a full normal run,
 	// StopMaxRounds when an internal round budget expired, StopDeadline /
@@ -37,7 +41,7 @@ type Result struct {
 	// MaxFlow is the maximum, and Converged is the AND — one unconverged
 	// metric marks the whole run, while iterations that never produced
 	// stats (cancelled or crashed before the metric ran) are excluded from
-	// all of it. Identical between sequential and Parallel runs.
+	// all of it. Identical at every GOMAXPROCS.
 	MetricStats inject.Stats
 }
 
@@ -57,22 +61,18 @@ type FlowOptions struct {
 	Build BuildOptions
 	// Seed makes the whole run deterministic. Default 1.
 	Seed int64
-	// Parallel runs the N iterations on separate goroutines (each with its
-	// own derived seed, so results are identical to the sequential run).
-	// The iterations are embarrassingly parallel: each computes its own
-	// metric and partitions. Off by default.
-	Parallel bool
 	// Observer receives the run's trace events (see internal/obs):
 	// per-round and per-metric events tagged with their iteration,
 	// build-done and iter-done completions, best-so-far updates, salvage
 	// events, and exactly one terminal stop event. Inject.Observer is
 	// overridden by the run's iteration-tagged observer, like Inject.Rng.
-	// With Parallel set, events are funnelled through one goroutine, so
-	// the observer needs no locking. Nil disables telemetry at zero cost.
+	// Iterations run concurrently, so events are funnelled through one
+	// goroutine and the observer needs no locking. Nil disables telemetry
+	// at zero cost.
 	Observer obs.Observer
 	// Span nests the run's events in the caller's span tree: the run
 	// enters one span, each iteration mints a child (pre-drawn in
-	// canonical order, so IDs are independent of Parallel scheduling),
+	// canonical order, so IDs are independent of scheduling),
 	// and the metric engine nests below the iteration. Span IDs come
 	// from a plain counter, never the run's seeds, so tracing cannot
 	// perturb results. Zero value is fine.
@@ -80,7 +80,7 @@ type FlowOptions struct {
 	// Progress, if non-nil, is called with coarse progress snapshots
 	// (phase, round, best cost) at round-level frequency — a lightweight
 	// alternative to a full Observer for live display. Called from a
-	// single goroutine even when Parallel is set.
+	// single goroutine even though iterations run concurrently.
 	Progress obs.ProgressFunc
 }
 
@@ -115,10 +115,11 @@ type flowIterOut struct {
 
 // Flow runs Algorithm 1: N times, compute a spreading metric by stochastic
 // flow injection (Algorithm 2) and construct a hierarchical tree partition
-// from it (Algorithm 3); output the best valid partition found. With
-// opt.Parallel the iterations run concurrently and produce the same result
-// as the sequential schedule (per-iteration seeds are pre-drawn in order).
-// It is FlowCtx without cancellation.
+// from it (Algorithm 3); output the best valid partition found. The
+// iterations run concurrently on a bounded pool (see flowPoolSize); the
+// result is independent of the schedule because per-iteration seeds are
+// pre-drawn in order and outcomes are aggregated in iteration order. It is
+// FlowCtx without cancellation.
 func Flow(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions) (*Result, error) {
 	return FlowCtx(context.Background(), h, spec, opt)
 }
@@ -141,25 +142,23 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("htp: flow not started: %w", errors.Join(anytime.ErrNoPartition, context.Cause(ctx)))
 	}
-	// Telemetry: one sink for the whole run. With Parallel the iteration
-	// goroutines all emit, so the sink goes behind a funnel and receives
-	// events from a single forwarding goroutine; sinks never need locks.
+	// Telemetry: one sink for the whole run. The pool's workers all emit,
+	// so the sink goes behind a funnel and receives events from a single
+	// forwarding goroutine; sinks never need locks.
 	// All of this is skipped — sink stays nil, emission sites reduce to a
 	// nil check — when neither an Observer nor a Progress func is set.
 	sink := obs.Multi(opt.Observer, obs.ProgressObserver(opt.Progress))
 	var start time.Time
 	if sink != nil {
 		start = time.Now()
-		if opt.Parallel {
-			funnel := obs.NewFunnel(sink)
-			defer funnel.Close()
-			sink = funnel
-		}
+		funnel := obs.NewFunnel(sink)
+		defer funnel.Close()
+		sink = funnel
 	}
 	// Span identity: the run enters one span (stamped on run-level events
 	// — best updates and the stop) and pre-mints one child span per
-	// iteration in canonical order, so span IDs are identical between
-	// sequential and Parallel runs. All skipped when telemetry is off.
+	// iteration in canonical order, so span IDs do not depend on the
+	// schedule. All skipped when telemetry is off.
 	var scope obs.SpanScope
 	scope, sink = opt.Span.Enter(sink)
 	var iterSpans []obs.SpanID
@@ -297,26 +296,28 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 		}
 	}
 
-	if opt.Parallel {
-		var wg sync.WaitGroup
-		for i := 0; i < opt.Iterations; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+	// One schedule: a pool of workers claims iteration indices in order
+	// from a shared counter. Iterations claimed after the context fired
+	// return at runIter's entry check.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := flowPoolSize(opt.Iterations, opt.Inject.Workers)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= opt.Iterations {
+					return
+				}
 				runIter(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < opt.Iterations; i++ {
-			if ctx.Err() != nil {
-				break
 			}
-			runIter(i)
-		}
+		}()
 	}
+	wg.Wait()
 
-	best := &Result{Iterations: opt.Iterations}
+	best := &Result{}
 	converged := true
 	var firstErr error
 	for i := range outs {
@@ -339,6 +340,7 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 			}
 		}
 		if outs[i].ranMetric {
+			best.Iterations++
 			st := outs[i].stats
 			best.MetricStats.Rounds += st.Rounds
 			best.MetricStats.Injections += st.Injections
@@ -356,8 +358,8 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 			best.Cost = outs[i].cost
 			if sink != nil {
 				// Best-so-far updates are emitted here, in canonical
-				// iteration order, so parallel and sequential runs trace the
-				// same improvement sequence.
+				// iteration order, so every schedule traces the same
+				// improvement sequence.
 				obs.Emit(sink, obs.Event{Kind: obs.KindBest, Iter: i + 1, Cost: best.Cost})
 			}
 		}
@@ -386,6 +388,14 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 	}
 	emitStop(sink, string(best.Stop), best.Cost, start, nil)
 	return best, nil
+}
+
+// flowPoolSize is how many FLOW iterations run at once: enough to fill
+// GOMAXPROCS with metric growers (each iteration's metric engine runs
+// injectWorkers of them), never more than the n iterations, and at least
+// one. It also bounds peak memory: at most this many metrics are live.
+func flowPoolSize(n, injectWorkers int) int {
+	return max(1, min(n, runtime.GOMAXPROCS(0)/max(1, injectWorkers)))
 }
 
 // emitStop emits the run's single terminal stop event: the stop reason (or

@@ -13,10 +13,9 @@
 // golden-hash tests in internal/inject pin this).
 //
 // Concurrency: the solvers emit from one goroutine wherever they can (the
-// metric engine's coordinator, the sequential FLOW schedule). When FLOW
-// runs its iterations in parallel, it routes all events through a Funnel,
-// which forwards them from a single goroutine — so sinks never need
-// locking of their own. Sinks shipped here (JSONLSink, SlogSink) assume
+// metric engine's coordinator). FLOW runs its iterations concurrently, so
+// it routes all events through a Funnel, which forwards them from a single
+// goroutine — so sinks never need locking of their own. Sinks shipped here (JSONLSink, SlogSink) assume
 // that discipline; Collector carries its own mutex and is safe anywhere.
 package obs
 

@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuits"
@@ -20,23 +22,21 @@ import (
 	"repro/internal/obs"
 )
 
-// cancelOnRound forwards every event and fires cancel once `after` metric
-// rounds have been observed — a deterministic mid-metric interruption.
-type cancelOnRound struct {
-	next   obs.Observer
-	cancel context.CancelFunc
-	after  int
-	seen   int
+// cancelAfterChecks is a context whose first n Err calls report nothing
+// and every later one context.Canceled. FLOW's metric engine polls Err
+// before every tree growth, so counting polls lands the cancellation at a
+// fixed point of the work rather than at a point in time. An observer
+// cannot do this: FLOW delivers events through a funnel, after the fact.
+type cancelAfterChecks struct {
+	context.Context
+	n atomic.Int64
 }
 
-func (c *cancelOnRound) Event(e obs.Event) {
-	c.next.Event(e)
-	if e.Kind == obs.KindMetricRound {
-		c.seen++
-		if c.seen == c.after {
-			c.cancel()
-		}
+func (c *cancelAfterChecks) Err() error {
+	if c.n.Add(-1) >= 0 {
+		return nil
 	}
+	return context.Canceled
 }
 
 func kinds(events []obs.Event) []obs.Kind {
@@ -138,9 +138,10 @@ func checkTraceInvariants(t *testing.T, events []obs.Event) {
 }
 
 // TestTraceSchemaRoundTrip drives every solver shape through a JSONL sink
-// and re-decodes the traces. Across the runs — a converged FLOW run (both
-// schedules), a deadline-interrupted run with salvage, and a refined GFM+
-// run — every published event kind must appear at least once.
+// and re-decodes the traces. Across the runs — a converged FLOW run (a pool
+// of one iteration at GOMAXPROCS 1, and the default pool with the parallel
+// metric engine), a cancelled run with salvage, and a refined GFM+ run —
+// every published event kind must appear at least once.
 func TestTraceSchemaRoundTrip(t *testing.T) {
 	h, spec := schemaInstance(t)
 	seen := map[obs.Kind]bool{}
@@ -164,6 +165,7 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 	}
 
 	t.Run("flow-sequential", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		collect(t, func(sink obs.Observer) float64 {
 			res, err := htp.FlowCtx(context.Background(), h, spec,
 				htp.FlowOptions{Iterations: 3, PartitionsPerMetric: 2, Seed: 3, Observer: sink})
@@ -177,7 +179,7 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 	t.Run("flow-parallel", func(t *testing.T) {
 		collect(t, func(sink obs.Observer) float64 {
 			res, err := htp.FlowCtx(context.Background(), h, spec,
-				htp.FlowOptions{Iterations: 3, Seed: 3, Parallel: true,
+				htp.FlowOptions{Iterations: 3, Seed: 3,
 					Inject: inject.Options{Workers: 2}, Observer: sink})
 			if err != nil {
 				t.Fatal(err)
@@ -187,16 +189,18 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 	})
 
 	t.Run("flow-cancel-salvage", func(t *testing.T) {
-		// Cancelling from inside the observer after the second metric round
-		// deterministically interrupts the first metric mid-flight and
-		// exercises the salvage path; the trace must still end in exactly
-		// one stop with a terminal reason.
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
+		// Cancelling at the 40th poll interrupts a running metric whatever
+		// the iteration schedule: at most 9 polls are entry checks (the run,
+		// each iteration, each metric), and each metric polls once per node
+		// — 128 times — in its first round alone. So by the 40th poll some
+		// metric has started and none has finished, and its iteration
+		// salvages. The trace must still end in exactly one stop with a
+		// terminal reason.
+		ctx := &cancelAfterChecks{Context: context.Background()}
+		ctx.n.Store(40)
 		events := collect(t, func(sink obs.Observer) float64 {
 			res, err := htp.FlowCtx(ctx, h, spec,
-				htp.FlowOptions{Iterations: 4, Seed: 3,
-					Observer: &cancelOnRound{next: sink, cancel: cancel, after: 2}})
+				htp.FlowOptions{Iterations: 4, Seed: 3, Observer: sink})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ package repro_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -55,21 +56,34 @@ func TestMapOntoTreeFacade(t *testing.T) {
 	}
 }
 
+// TestParallelFlowFacade: through the facade, FLOW's iteration pool gives
+// bit-identical results at GOMAXPROCS 1 (a pool of one), 2 and 8.
 func TestParallelFlowFacade(t *testing.T) {
 	h := smallCircuit(t)
 	spec, err := repro.BinaryTreeSpec(h.TotalSize(), 3, repro.GeometricWeights(3, 2), 1.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Cost != par.Cost {
-		t.Fatalf("parallel %g != sequential %g", par.Cost, seq.Cost)
+	var seq *repro.Result
+	for _, p := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(p)
+		res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq == nil {
+			seq = res
+			continue
+		}
+		if res.Cost != seq.Cost || res.MetricStats != seq.MetricStats {
+			t.Fatalf("GOMAXPROCS %d: cost %g, stats %+v; GOMAXPROCS 1: cost %g, stats %+v",
+				p, res.Cost, res.MetricStats, seq.Cost, seq.MetricStats)
+		}
+		for v := range seq.Partition.LeafOf {
+			if res.Partition.LeafOf[v] != seq.Partition.LeafOf[v] {
+				t.Fatalf("GOMAXPROCS %d: leaf assignment diverges at node %d", p, v)
+			}
+		}
 	}
 }
