@@ -92,6 +92,9 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 		seen[i] = -1
 	}
 	gen := int32(0)
+	// Every candidate is another leaf, so a node's scan stops once all of
+	// them have appeared: the pins left would only repeat seen leaves.
+	others := len(p.Tree.Leaves()) - 1
 	for pass := 0; pass < opt.MaxPasses && len(work) > 0 && ctx.Err() == nil; pass++ {
 		opt.Rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
 		var next []int
@@ -104,6 +107,8 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 			gen++
 			bestDelta := -1e-12
 			bestLeaf := -1
+			found := 0
+		scan:
 			for _, e := range p.H.Incident(v) {
 				pins := p.H.Pins(e)
 				if len(pins) > opt.MaxNetScan {
@@ -115,12 +120,14 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 						continue
 					}
 					seen[leaf] = gen
-					if !cs.CanMove(v, int(leaf)) {
-						continue
+					if cs.CanMove(v, int(leaf)) {
+						if d := cs.MoveDelta(v, int(leaf)); d < bestDelta {
+							bestDelta = d
+							bestLeaf = int(leaf)
+						}
 					}
-					if d := cs.MoveDelta(v, int(leaf)); d < bestDelta {
-						bestDelta = d
-						bestLeaf = int(leaf)
+					if found++; found == others {
+						break scan
 					}
 				}
 			}

@@ -79,6 +79,9 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 	}
 	// Candidate-leaf scratch, deduplicated with a generation stamp.
 	seen := make(map[int32]bool, 16)
+	// Every candidate is another leaf, so a node's scan stops once all of
+	// them have appeared: the pins left would only repeat seen leaves.
+	others := len(p.Tree.Leaves()) - 1
 
 	for pass := 0; pass < opt.MaxPasses && ctx.Err() == nil; pass++ {
 		improved := false
@@ -92,6 +95,7 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 			clear(seen)
 			bestDelta := -1e-12
 			bestLeaf := -1
+		scan:
 			for _, e := range p.H.Incident(v) {
 				for _, u := range p.H.Pins(e) {
 					leaf := p.LeafOf[u]
@@ -99,12 +103,14 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 						continue
 					}
 					seen[leaf] = true
-					if !cs.CanMove(v, int(leaf)) {
-						continue
+					if cs.CanMove(v, int(leaf)) {
+						if d := cs.MoveDelta(v, int(leaf)); d < bestDelta {
+							bestDelta = d
+							bestLeaf = int(leaf)
+						}
 					}
-					if d := cs.MoveDelta(v, int(leaf)); d < bestDelta {
-						bestDelta = d
-						bestLeaf = int(leaf)
+					if len(seen) == others {
+						break scan
 					}
 				}
 			}

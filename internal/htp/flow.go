@@ -37,11 +37,12 @@ type Result struct {
 	// whose siblings still produced the result. Empty on a clean run.
 	Failures []error
 	// MetricStats aggregates the flow-injection work over all iterations
-	// (FLOW only): Rounds, Injections, and TreeNets sum across iterations,
-	// MaxFlow is the maximum, and Converged is the AND — one unconverged
-	// metric marks the whole run, while iterations that never produced
-	// stats (cancelled or crashed before the metric ran) are excluded from
-	// all of it. Identical at every GOMAXPROCS.
+	// (FLOW only): Rounds, Injections, TreeNets, Certified and
+	// CertifyMisses sum across iterations, MaxFlow is the maximum, and
+	// Converged is the AND — one unconverged metric marks the whole run,
+	// while iterations that never produced stats (cancelled or crashed
+	// before the metric ran) are excluded from all of it. Identical at
+	// every GOMAXPROCS.
 	MetricStats inject.Stats
 }
 
@@ -345,6 +346,8 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 			best.MetricStats.Rounds += st.Rounds
 			best.MetricStats.Injections += st.Injections
 			best.MetricStats.TreeNets += st.TreeNets
+			best.MetricStats.Certified += st.Certified
+			best.MetricStats.CertifyMisses += st.CertifyMisses
 			// The AND across iterations: one unconverged metric marks the
 			// whole run (iterations that never ran — cancelled or crashed
 			// before producing stats — are excluded).

@@ -14,7 +14,7 @@ import (
 // FlowCtx pre-draws them (one inject seed, then PartitionsPerMetric build
 // seeds, per iteration), runs each metric standalone, and folds the stats
 // the way Result.MetricStats documents: sums for Rounds/Injections/
-// TreeNets, max for MaxFlow, AND for Converged.
+// TreeNets/Certified/CertifyMisses, max for MaxFlow, AND for Converged.
 func replayMetricStats(t *testing.T, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions) inject.Stats {
 	t.Helper()
 	opt = opt.withDefaults()
@@ -34,6 +34,8 @@ func replayMetricStats(t *testing.T, h *hypergraph.Hypergraph, spec hierarchy.Sp
 		want.Rounds += st.Rounds
 		want.Injections += st.Injections
 		want.TreeNets += st.TreeNets
+		want.Certified += st.Certified
+		want.CertifyMisses += st.CertifyMisses
 		want.Converged = want.Converged && st.Converged
 		if st.MaxFlow > want.MaxFlow {
 			want.MaxFlow = st.MaxFlow

@@ -19,6 +19,17 @@
 // and a deterministic batched worker pool that grows trees from several
 // roots concurrently against lengths frozen per batch (see DESIGN.md,
 // "Parallel metric engine").
+//
+// Most growths of the sequential sweep only prove that a root retires, and
+// such a proof needs the sorted distances, not the order among tied nodes
+// that decides which nets a violated tree floods. The sweep therefore
+// tries a retire certificate first: a cheaper growth (shortest.HyperSPT.
+// GrowUnordered) that checks the spreading bound at the ends of tie groups
+// with a rounding margin. A certified root retires exactly as the exact
+// growth would have retired it; anything else falls back to the exact
+// growth. The computed metric is bit-identical either way (DESIGN.md,
+// "Retire certificate"); Stats.Certified and Stats.CertifyMisses count
+// the outcomes. The batched engine does not use the certificate.
 package inject
 
 import (
@@ -118,6 +129,12 @@ type Stats struct {
 	TreeNets   int     // total nets receiving flow (with multiplicity)
 	Converged  bool    // active set emptied before MaxRounds
 	MaxFlow    float64 // largest f(e) at exit
+	// Certified counts roots the sequential sweep retired on the retire
+	// certificate alone; CertifyMisses counts certificate attempts that
+	// could not rule out a violation and fell back to the exact growth.
+	// Both stay 0 in the batched engine.
+	Certified     int
+	CertifyMisses int
 }
 
 // ComputeMetric runs Algorithm 2 and returns a spreading metric for (h,
@@ -138,28 +155,42 @@ func ComputeMetric(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt Options) (
 // and propagating the interruption. A context that is already done at entry
 // yields a nil metric.
 func ComputeMetricCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt Options) (*metric.Metric, Stats, error) {
+	g, err := computeMetric(ctx, h, spec, opt, true)
+	if g == nil {
+		return nil, Stats{}, err
+	}
+	return g.m, g.st, err
+}
+
+// computeMetric is ComputeMetricCtx with the sequential sweep's retire
+// certificate switchable, so tests can compare it against the exact
+// growths alone; every result but Stats.Certified and Stats.CertifyMisses
+// is identical either way. It returns the finished engine, or nil with the
+// error when the computation never started.
+func computeMetric(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt Options, certify bool) (*engine, error) {
 	opt = opt.withDefaults()
 	opt.Span, opt.Observer = opt.Span.Enter(opt.Observer)
 	if err := spec.Validate(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	for v := 0; v < h.NumNodes(); v++ {
 		if h.NodeSize(hypergraph.NodeID(v)) > spec.Capacity[0] {
-			return nil, Stats{}, fmt.Errorf("inject: node %d size %d exceeds C_0 = %d: %w",
+			return nil, fmt.Errorf("inject: node %d size %d exceeds C_0 = %d: %w",
 				v, h.NodeSize(hypergraph.NodeID(v)), spec.Capacity[0], anytime.ErrOversizedNode)
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, fmt.Errorf("inject: metric computation not started: %w", context.Cause(ctx))
+		return nil, fmt.Errorf("inject: metric computation not started: %w", context.Cause(ctx))
 	}
 
 	g := &engine{
-		ctx:  ctx,
-		h:    h,
-		spec: spec,
-		opt:  opt,
-		m:    metric.New(h),
-		flow: make([]float64, h.NumNets()),
+		ctx:     ctx,
+		h:       h,
+		spec:    spec,
+		opt:     opt,
+		m:       metric.New(h),
+		flow:    make([]float64, h.NumNets()),
+		certify: certify,
 	}
 	if opt.Observer != nil {
 		g.t0 = time.Now()
@@ -221,16 +252,18 @@ func ComputeMetricCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierar
 			Round:         g.st.Rounds,
 			Injections:    g.st.Injections,
 			TreeNets:      g.st.TreeNets,
+			Certified:     g.st.Certified,
+			CertifyMisses: g.st.CertifyMisses,
 			Converged:     g.st.Converged,
 			MaxCongestion: g.maxCongestion(),
 			ElapsedMS:     obs.Millis(time.Since(g.t0)),
 		})
 	}
 	if g.interrupted {
-		return g.m, g.st, fmt.Errorf("inject: metric computation interrupted after %d rounds, %d injections: %w",
+		return g, fmt.Errorf("inject: metric computation interrupted after %d rounds, %d injections: %w",
 			g.st.Rounds, g.st.Injections, context.Cause(ctx))
 	}
-	return g.m, g.st, nil
+	return g, nil
 }
 
 // maxGTableSize bounds the total design size for which g(x) is tabulated
@@ -252,6 +285,7 @@ type engine struct {
 	st          Stats
 	interrupted bool
 	t0          time.Time // start of the run; zero when no observer
+	certify     bool      // the sequential sweep tries the retire certificate
 }
 
 // maxCongestion returns the largest f(e)/c(e) over positive-capacity nets
@@ -309,16 +343,39 @@ func (g *engine) relength(e hypergraph.NetID) {
 	g.m.D[e] = math.Exp(x) - 1
 }
 
+// certifyStride is how often the sequential sweep retries the retire
+// certificate after a violated growth: on every certifyStride-th growth,
+// until an attempt certifies. It bounds the certificates wasted where most
+// growths violate (a multilevel coarsest level) to one in certifyStride.
+const certifyStride = 8
+
 // runSequential is the historical exact sweep: one tree growth at a time,
 // each seeing every injection made before it, roots retired by swap-delete.
+//
+// Before an exact growth the sweep may try the retire certificate
+// (certifyRetire), which proves most retirements on a cheaper growth. A
+// root is tried only while it has never been found violated in this
+// metric, and after any violated growth only every certifyStride-th growth
+// tries until one certifies. A certified root retires exactly as the exact
+// growth would have retired it, and injects nothing; on a miss the exact
+// growth decides. So the metric, the flow, the active set, the random
+// stream and every Stats field but the certificate counters are the same
+// as with exact growths alone (DESIGN.md "Retire certificate").
 func (g *engine) runSequential() {
-	h, spec, opt := g.h, g.spec, g.opt
+	h, opt := g.h, g.opt
 	spt := shortest.NewHyperSPT(h)
-	gTab, total, gX := g.gTab, g.total, g.gX
 
 	// Per-growth scratch: the distinct nets of the current tree.
 	treeNets := make([]hypergraph.NetID, 0, 64)
 	inTree := make([]bool, h.NumNets())
+
+	// Certificate gate: roots found violated in this metric, and the
+	// growths left before the next attempt after a violated growth.
+	var everViolated []bool
+	if g.certify {
+		everViolated = make([]bool, h.NumNodes())
+	}
+	wait := 0
 
 	// visits counts settled SPT nodes across growths so even a single huge
 	// growth hits a context checkpoint every few thousand nodes.
@@ -336,48 +393,24 @@ func (g *engine) runSequential() {
 				break
 			}
 			root := g.active[idx]
-			var (
-				lhs      float64
-				size     int64
-				violated bool
-			)
-			treeNets = treeNets[:0]
-			spt.GrowLengths(root, g.m.D, func(v shortest.Visit) bool {
-				visits++
-				if visits&4095 == 0 && g.ctx.Err() != nil {
-					g.interrupted = true
-					return false
+			if g.certify && !everViolated[root] && wait == 0 {
+				retire := g.certifyRetire(spt, root, &visits)
+				if g.interrupted {
+					break
 				}
-				if v.Via >= 0 && !inTree[v.Via] {
-					inTree[v.Via] = true
-					treeNets = append(treeNets, v.Via)
+				if retire {
+					grown++
+					g.st.Certified++
+					g.active[idx] = g.active[len(g.active)-1]
+					g.active = g.active[:len(g.active)-1]
+					continue
 				}
-				sz := h.NodeSize(v.Node)
-				size += sz
-				lhs += v.Dist * float64(sz)
-				var bound float64
-				if gTab != nil {
-					bound = gTab[size]
-				} else {
-					bound = spec.G(size)
-				}
-				if lhs < bound-1e-12*(1+bound) {
-					violated = true
-					return false
-				}
-				// Nodes settle in distance order, so every prefix the rest
-				// of this growth can reach has left side at least
-				// lhs + Dist·(its size − size), a line that g — convex,
-				// and already below lhs at the current prefix — can only
-				// cross past the design's total size. If the line clears
-				// g(total), no larger prefix can violate: the rest of the
-				// growth is provably pointless and the root retires either
-				// way.
-				return lhs+v.Dist*float64(total-size) < gX
-			})
-			for _, e := range treeNets {
-				inTree[e] = false
+				g.st.CertifyMisses++
+			} else if wait > 0 {
+				wait--
 			}
+			var violated bool
+			treeNets, violated = g.growExact(spt, root, &visits, treeNets, inTree)
 			if g.interrupted {
 				break
 			}
@@ -389,6 +422,10 @@ func (g *engine) runSequential() {
 					g.flow[e] += opt.Delta
 					g.relength(e)
 				}
+				if g.certify {
+					everViolated[root] = true
+					wait = certifyStride - 1
+				}
 				idx++ // keep root active; lengths changed under it
 			} else {
 				// Constraint (5) holds for every k from this root: retire it.
@@ -398,6 +435,133 @@ func (g *engine) runSequential() {
 		}
 		g.endRound(grown, g.st.Injections-injBefore)
 	}
+}
+
+// growExact grows root's shortest-path tree in the exact heap order and
+// reports whether constraint (5) is violated for some k. It returns
+// treeNets refilled with the distinct nets of the grown tree, the nets a
+// violation injects into; inTree is all false again on return. It marks
+// the run interrupted when ctx fires mid-growth, polling it every 4096
+// visits on the counter all growths share.
+func (g *engine) growExact(spt *shortest.HyperSPT, root hypergraph.NodeID, visits *int, treeNets []hypergraph.NetID, inTree []bool) ([]hypergraph.NetID, bool) {
+	h, spec := g.h, g.spec
+	gTab, total, gX := g.gTab, g.total, g.gX
+	var (
+		lhs      float64
+		size     int64
+		violated bool
+	)
+	treeNets = treeNets[:0]
+	spt.GrowLengths(root, g.m.D, func(v shortest.Visit) bool {
+		*visits++
+		if *visits&4095 == 0 && g.ctx.Err() != nil {
+			g.interrupted = true
+			return false
+		}
+		if v.Via >= 0 && !inTree[v.Via] {
+			inTree[v.Via] = true
+			treeNets = append(treeNets, v.Via)
+		}
+		sz := h.NodeSize(v.Node)
+		size += sz
+		lhs += v.Dist * float64(sz)
+		var bound float64
+		if gTab != nil {
+			bound = gTab[size]
+		} else {
+			bound = spec.G(size)
+		}
+		if lhs < bound-1e-12*(1+bound) {
+			violated = true
+			return false
+		}
+		// Nodes settle in distance order, so every prefix the rest of this
+		// growth can reach has left side at least lhs + Dist·(its size −
+		// size), a line that g — convex, and already below lhs at the
+		// current prefix — can only cross past the design's total size. If
+		// the line clears g(total), no larger prefix can violate: the rest
+		// of the growth is provably pointless and the root retires either
+		// way.
+		return lhs+v.Dist*float64(total-size) < gX
+	})
+	for _, e := range treeNets {
+		inTree[e] = false
+	}
+	return treeNets, violated
+}
+
+// certifyRetire runs the retire certificate for root: a GrowUnordered
+// growth that checks the spreading bound only where the settled distance
+// rises, at the end of each group of tied nodes. It returns true only if
+// the exact growth from root provably ends unviolated, which is when every
+// group end clears g with the margin certMargin covers, and then either
+// the growth exhausts the component or the straight-line finish test of
+// growExact fires at a group end with the margin on both sides. Any other outcome ("maybe violated") returns false. It marks the
+// run interrupted when ctx fires mid-growth, polling it every 4096 visits
+// on the counter the exact growths share.
+//
+// Why group ends suffice (the proof is in DESIGN.md "Retire certificate"):
+// both growers settle the same nodes at the same distances, so the prefix
+// size at a group end is the same and the left side differs only by the
+// summation order of weighted nodes. Inside a group every prefix point of
+// any tie order lies on the chord between the group's end points, since
+// each node adds its size times the common distance, and the convex g
+// cannot rise above a chord both of whose ends clear it.
+func (g *engine) certifyRetire(spt *shortest.HyperSPT, root hypergraph.NodeID, visits *int) bool {
+	h, spec := g.h, g.spec
+	gTab, total, gX := g.gTab, g.total, g.gX
+	margin := g.certMargin()
+	hi, lo := 1+margin, 1-margin
+	bound := func(size int64) float64 {
+		if gTab != nil {
+			return gTab[size]
+		}
+		return spec.G(size)
+	}
+	var (
+		lhs, key float64 // left side and distance of the current group
+		size     int64
+		decided  bool
+		retire   bool
+	)
+	spt.GrowUnordered(root, g.m.D, func(v hypergraph.NodeID, dist float64) bool {
+		*visits++
+		if *visits&4095 == 0 && g.ctx.Err() != nil {
+			g.interrupted = true
+			return false
+		}
+		if dist != key {
+			// The prefix (size, lhs) ends the group at distance key.
+			if !(lhs >= bound(size)*hi) {
+				decided = true
+				return false
+			}
+			if float64(lhs*lo)+key*float64(total-size) >= gX*hi {
+				decided, retire = true, true
+				return false
+			}
+			key = dist
+		}
+		sz := h.NodeSize(v)
+		size += sz
+		lhs += dist * float64(sz)
+		return true
+	})
+	if decided || g.interrupted {
+		return retire
+	}
+	// The growth exhausted the component: its last group ends here.
+	return lhs >= bound(size)*hi
+}
+
+// certMargin is the relative margin by which the retire certificate's group
+// ends must clear g, and by which its finish test lowers the left side and
+// raises g(total). It covers the rounding of a left side summed over at
+// most n nodes in any order, of g's sum over the L levels, and of the
+// tests themselves, fused into FMAs or not: 4·(n+L+4)·2⁻⁵³ is twice the
+// first-order bound derived in DESIGN.md "Retire certificate".
+func (g *engine) certMargin() float64 {
+	return 4 * float64(g.h.NumNodes()+g.spec.Height()+4) * 0x1p-53
 }
 
 // parallelBatch is the number of roots a batch of concurrent tree growths

@@ -38,7 +38,8 @@ const (
 	KindMetricRound Kind = "metric-round"
 	// KindMetricDone: a whole spreading-metric computation ended (also on
 	// interruption). Fields: Iter, Round (total rounds), Injections,
-	// TreeNets, Converged, MaxCongestion, ElapsedMS.
+	// TreeNets, Certified, CertifyMisses, Converged, MaxCongestion,
+	// ElapsedMS.
 	KindMetricDone Kind = "metric-done"
 	// KindBuildDone: one top-down construction produced a valid partition.
 	// Fields: Iter, Cost, ElapsedMS (the construction alone).
@@ -108,6 +109,11 @@ type Event struct {
 	Injections int `json:"injections,omitempty"`
 	// TreeNets is the cumulative count of nets that received flow.
 	TreeNets int `json:"tree_nets,omitempty"`
+	// Certified counts the roots a metric's sweep retired on the retire
+	// certificate alone, and CertifyMisses the certificate attempts that
+	// fell back to the exact growth (metric-done only).
+	Certified     int `json:"certified,omitempty"`
+	CertifyMisses int `json:"certify_misses,omitempty"`
 	// MaxCongestion is the largest f(e)/c(e) over positive-capacity nets.
 	MaxCongestion float64 `json:"max_congestion,omitempty"`
 	// Cost is a partition cost (constructed, best-so-far, or final).

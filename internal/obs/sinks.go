@@ -86,6 +86,12 @@ func (s *SlogSink) Event(e Event) {
 	if e.TreeNets != 0 {
 		attrs = append(attrs, slog.Int("tree_nets", e.TreeNets))
 	}
+	if e.Certified != 0 {
+		attrs = append(attrs, slog.Int("certified", e.Certified))
+	}
+	if e.CertifyMisses != 0 {
+		attrs = append(attrs, slog.Int("certify_misses", e.CertifyMisses))
+	}
 	if e.MaxCongestion != 0 {
 		attrs = append(attrs, slog.Float64("max_congestion", e.MaxCongestion))
 	}

@@ -36,7 +36,8 @@ type HyperSPT struct {
 	netGen []uint32
 	gen    uint32
 	heap   *pqueue.IndexedMinHeap
-	touch  []int32 // nodes whose state must be reset before the next growth
+	rq     *radixQueue // GrowUnordered's queue, allocated on first use
+	touch  []int32     // nodes whose state must be reset before the next growth
 }
 
 // sptNode is the per-node search state, packed so one settle or relaxation
@@ -238,6 +239,81 @@ func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(h
 					nu.via = e
 					nu.parent = int32(vi)
 					heap.DecreaseKey(int(u), nd)
+				}
+			}
+		}
+	}
+	return settled
+}
+
+// GrowUnordered settles the same nodes at the same distances as
+// GrowLengths, in non-decreasing distance order, but leaves the order among
+// nodes of equal distance unspecified, and visit receives only the node and
+// its distance: the tree (Via, Parent) is not recorded. It suits callers
+// whose decision depends only on the sorted distances, and it is cheaper
+// than GrowLengths because its monotone radix queue does no heap sifting.
+//
+// The distances are the same floats because Dijkstra's labels do not
+// depend on tie order: lengths are non-negative, a label only changes on a
+// strictly shorter offer, and a node settled at key k can only offer keys
+// >= k, so no tied node lowers another below the group key. The set of
+// nodes settled at each distance is therefore the same for both growers.
+//
+// lengths must have one non-negative entry per net and stay unmodified for
+// the duration of the call. It returns the number of settled nodes.
+func (s *HyperSPT) GrowUnordered(root hypergraph.NodeID, lengths []float64, visit func(v hypergraph.NodeID, dist float64) bool) int {
+	s.reset()
+	s.gen++
+	if s.rq == nil {
+		s.rq = newRadixQueue(len(s.nodes))
+	}
+	q := s.rq
+	q.reset()
+	nodes := s.nodes
+	netGen, gen := s.netGen, s.gen
+	incStart, incList := s.incStart, s.incList
+	pinStart, pinList := s.pinStart, s.pinList
+	nodes[root] = sptNode{dist: 0, state: 1}
+	s.touch = append(s.touch, int32(root))
+	q.push(int32(root), 0)
+	// comp and ub drive the same no-op scan skip as grow.
+	comp := int(s.compSize[root])
+	ub := 0.0
+
+	settled := 0
+	//htpvet:allow ctxpoll -- each iteration settles a node, so the loop is bounded by reached nodes; cancellation is the caller's visit callback returning false (inject polls ctx there with a masked counter)
+	for q.len() > 0 {
+		vi, dv := q.pop()
+		nodes[vi].state = 2
+		settled++
+		if !visit(hypergraph.NodeID(vi), dv) {
+			break
+		}
+		full := len(s.touch) == comp
+		for _, e := range incList[incStart[vi]:incStart[vi+1]] {
+			if netGen[e] == gen {
+				continue
+			}
+			netGen[e] = gen
+			nd := dv + lengths[e]
+			if full && nd >= ub {
+				continue
+			}
+			for _, u := range pinList[pinStart[e]:pinStart[e+1]] {
+				nu := &nodes[u]
+				if nu.state == 2 {
+					continue
+				}
+				if nu.state == 0 {
+					nu.dist, nu.state = nd, 1
+					s.touch = append(s.touch, u)
+					q.push(u, nd)
+					if nd > ub {
+						ub = nd
+					}
+				} else if nd < nu.dist {
+					nu.dist = nd
+					q.decrease(u, nd)
 				}
 			}
 		}
